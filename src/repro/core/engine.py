@@ -46,16 +46,20 @@ The result is bit-identical ``SimStats``, CPI stacks, and timeline rows
 at roughly an order of magnitude fewer readiness evaluations.
 
 Engine selection: ``Machine.run(engine="soa"|"objects")``, defaulting to
-the ``REPRO_ENGINE`` environment variable and then to ``"soa"``.  Runs
-that need the object graph — an attached event bus or
-``record_trace=True`` — always use the object engine (the columns never
-materialize ``DynInstr`` records to trace).
+the ``REPRO_ENGINE`` environment variable and then to ``"soa"``.  An
+attached event bus stays on this engine: the loop records the stamps its
+columns lack and :func:`_emit_events` rebuilds the object engine's event
+stream after the run (``verify.differential.diff_events`` audits it
+event for event).  Only ``record_trace=True`` uses the object engine,
+since the columns never materialize ``DynInstr`` records to trace.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from bisect import bisect_left, insort
+from contextlib import contextmanager
 
 from repro.backend.latency import AdderStyle
 from repro.backend.steering import choose_dependence_target
@@ -65,6 +69,7 @@ from repro.isa.instruction import NUM_REGS, ZERO_REG
 from repro.isa.opcodes import LatencyClass, Opcode, OperandFormat, ResultFormat
 from repro.isa.semantics import ArchState
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.obs.events import EventKind, TraceEvent, operand_event, stage_events
 from repro.obs.explain import StallCause
 from repro.obs.log import get_logger
 from repro.obs.timeline import DEFAULT_STRIDE, IntervalSampler
@@ -285,12 +290,22 @@ def run_soa(
     timeline: bool = True,
     timeline_stride: int = DEFAULT_STRIDE,
     timeline_sink=None,
+    bus=None,
 ):
     """Simulate ``program`` on ``machine`` with the SoA engine.
 
     Mirrors the observable behavior of the object engine's per-cycle loop
-    exactly — same statistics, CPI stacks, timeline rows, error messages
-    — without materializing any per-instruction objects.
+    exactly — same statistics, CPI stacks, timeline rows, event streams,
+    error messages — without materializing any per-instruction objects.
+
+    With a ``bus`` the loop also records the few stamps its columns lack
+    (rename and retire cycles, issue order, per-cycle stall causes and
+    window-full stalls), and :func:`_emit_events` rebuilds the object
+    engine's :class:`~repro.obs.events.TraceEvent` stream from them after
+    the run.  Stall events are per cycle, so a bus run never
+    fast-forwards (``cycle_skip`` changes no statistic either way).  The
+    bus is left open: :meth:`Machine.run` closes it once this frame and
+    its columns are gone, since the close sort is a bus run's memory peak.
     """
     from repro.core.machine import SELECT_TO_EXEC, SimulationError
     from repro.core.statistics import SimStats
@@ -298,6 +313,17 @@ def run_soa(
     config = machine.config
     stats = SimStats(machine=config.name, workload=program.name)
     log.debug("running %s on %s (soa)", config.name, program.name)
+
+    # Event recording: off (and free) unless a bus is attached.  Rename
+    # and retire happen in seq order, so those stamps are plain appends.
+    record = bus is not None
+    if record:
+        cycle_skip = False
+    ren_col: list[int] = []     # rename (dispatch) cycle
+    ret_col: list[int] = []     # retire cycle
+    issue_log: list[int] = []   # seqs in issue order (scheduler, then age)
+    full_log: list[tuple] = []  # (cycle, blocked seq, scheduler index)
+    stall_log: list[tuple] = [] # (cycle, ROB-head seq or -1, StallCause)
 
     state = ArchState(program)
     machine.last_state = state
@@ -940,6 +966,8 @@ def run_soa(
         if retired:
             stats.instructions += retired
             last_progress_cycle = cycle
+            if record:
+                ret_col.extend((cycle,) * retired)
 
         # ---- select + issue (merged sweep per scheduler) -----------------
         selected_any = False
@@ -1065,6 +1093,8 @@ def run_soa(
                 selected_any = True
                 for e in grants:
                     _issue(e, cycle, s)
+                if record:
+                    issue_log.extend(grants)
             elif acts or wtrs:
                 # Fruitless full sweep: every finite entry was visited, so
                 # ``newmin`` is the exact minimum over finite next-tries
@@ -1091,6 +1121,8 @@ def run_soa(
                 target = steer_cur
                 if len(act[target]) + len(wtr[target]) >= sched_capacity:
                     full_counters[target].value += 1
+                    if record:
+                        full_log.append((cycle, e, target))
                     dispatch_blocked = True
                     break
             fq_head += 1
@@ -1156,6 +1188,8 @@ def run_soa(
             occ_total += 1
             rob_tail += 1
             dispatched += 1
+            if record:
+                ren_col.append(cycle)
 
         # ---- fetch -------------------------------------------------------
         if not fetch_misp_stalled and seq_count - fq_head < fetch_queue_capacity:
@@ -1219,10 +1253,12 @@ def run_soa(
             while p < fq_head and sel_col[p] >= 0:
                 p += 1
             fr_ptr = p
+            hseq = rob_head if rob_head < rob_tail else -1
             cause = _classify(
-                rob_head if rob_head < rob_tail else -1,
-                p if p < fq_head else -1, cycle, dispatch_blocked,
+                hseq, p if p < fq_head else -1, cycle, dispatch_blocked
             )
+            if record:
+                stall_log.append((cycle, hseq, cause))
         if cause is pending_cause:
             pending_count += 1
         else:
@@ -1407,11 +1443,125 @@ def run_soa(
     if sampler is not None:
         _sync_views()
         stats.timeline = sampler.finalize(cycle)
+    if record:
+        with _gc_paused():
+            _emit_events(
+                bus, cycle + 1, SELECT_TO_EXEC, cluster_delay,
+                instr_col, fetchc_col, ren_col, sel_col, comp_col, ret_col,
+                sched_col, clus_col, prb_col, lrb_col, ltc_col, isload_col,
+                trbf_col, ttcf_col, srcs_col, issue_log, full_log, stall_log,
+            )
     log.debug(
         "finished %s on %s (soa): %d instructions in %d cycles (IPC %.3f)",
         config.name, program.name, stats.instructions, stats.cycles, stats.ipc,
     )
     return stats
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a bulk allocation.
+
+    An event stream is ~10^6 fresh acyclic objects (events and their
+    args); left on, the collector re-traverses the growing heap again and
+    again, which measured ~40% of the stream build.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+#: Events handed to an unbounded bus per ``emit_many`` call.
+_EMIT_CHUNK = 4096
+
+
+def _emit_events(
+    bus, cycles, select_to_exec, cluster_delay,
+    instr_col, fetchc_col, ren_col, sel_col, comp_col, ret_col,
+    sched_col, clus_col, prb_col, lrb_col, ltc_col, isload_col,
+    trbf_col, ttcf_col, srcs_col, issue_log, full_log, stall_log,
+) -> None:
+    """Emit a finished run's event stream onto ``bus`` from its columns.
+
+    Events go out in the object engine's emission order — per cycle: the
+    stage timelines of the instructions retiring, the operand events of
+    the instructions issuing (scheduler order, then age; sources in
+    rename order), the window-full stall, then the cycle's stall — so
+    events whose ``(cycle, seq, kind)`` tie (one consumer's operands)
+    keep that order through the bus's stable sort, and a bounded bus
+    compacts the same stream.  Every operand field is recomputed from
+    final columns: nothing a producer's columns hold changes after it
+    issues, and a consumer always issues after its producers.
+    """
+    out: list[TraceEvent] = []
+    extend = out.extend
+    append = out.append
+    chunk = bus.capacity or _EMIT_CHUNK
+    texts = [instr.text for instr in instr_col]
+    n = len(ret_col)
+    r = 0
+    i = 0
+    n_issue = len(issue_log)
+    f = 0
+    n_full = len(full_log)
+    s = 0
+    n_stall = len(stall_log)
+    for c in range(cycles):
+        while r < n and ret_col[r] == c:
+            extend(stage_events(
+                r, texts[r], select_to_exec, fetchc_col[r], ren_col[r],
+                sel_col[r], sched_col[r], clus_col[r], lrb_col[r],
+                ltc_col[r], comp_col[r], c,
+            ))
+            r += 1
+        while i < n_issue and sel_col[issue_log[i]] == c:
+            e = issue_log[i]
+            i += 1
+            text = texts[e]
+            cluster = clus_col[e]
+            for pseq, wants_tc in srcs_col[e]:
+                adjust = cluster_delay if clus_col[pseq] != cluster else 0
+                psel = sel_col[pseq]
+                offset = c - psel - adjust
+                producer_rb = prb_col[pseq]
+                if producer_rb and not wants_tc and offset < ltc_col[pseq]:
+                    level = offset - lrb_col[pseq]
+                else:
+                    level = offset - ltc_col[pseq]
+                if producer_rb:
+                    case = "RB_TO_TC" if wants_tc else "RB_TO_RB"
+                else:
+                    case = "TC_TO_TC" if wants_tc else "TC_TO_RB"
+                arrival = psel + adjust + (
+                    ttcf_col[pseq] if wants_tc else trbf_col[pseq]
+                )
+                append(operand_event(
+                    c, e, text, level < 3, level + 1, case, pseq,
+                    "TC" if wants_tc else "RB", bool(adjust), arrival,
+                    isload_col[pseq],
+                ))
+        if f < n_full and full_log[f][0] == c:
+            _, blocked, index = full_log[f]
+            f += 1
+            append(TraceEvent(
+                c, EventKind.STALL, blocked, "", 1,
+                {"cause": "window-full", "unit": f"sched{index}"},
+            ))
+        if s < n_stall and stall_log[s][0] == c:
+            _, hseq, cause = stall_log[s]
+            s += 1
+            append(TraceEvent(c, EventKind.STALL, hseq, "", 1, {"cause": cause.value}))
+        if len(out) >= chunk:
+            # Hand the bus the stream in pieces: a bounded bus compacts as
+            # it goes, and an unbounded one never holds a second full-size
+            # list of the stream next to its own.
+            bus.emit_many(out)
+            out.clear()
+    bus.emit_many(out)
 
 
 # Batched lockstep simulation: N configs over one decoded program, sharing

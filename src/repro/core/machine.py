@@ -36,7 +36,13 @@ from repro.isa.opcodes import LatencyClass, Opcode, OperandFormat, ResultFormat
 from repro.isa.program import Program
 from repro.isa.semantics import ArchState
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.obs.events import EventBus, EventKind, TraceEvent, lifecycle_events
+from repro.obs.events import (
+    EventBus,
+    EventKind,
+    TraceEvent,
+    lifecycle_events,
+    operand_event,
+)
 from repro.obs.explain import StallCause, classify_stall_cycle
 from repro.obs.log import get_logger
 from repro.obs.timeline import DEFAULT_STRIDE, IntervalSampler
@@ -148,6 +154,17 @@ def _replay_stall_range(
                 position = segment_stop
 
 
+def _close_bus(bus: EventBus, stats: SimStats) -> None:
+    """Close a finished run's bus (sort, replay to sinks) with its meta."""
+    bus.close(meta={
+        "machine": stats.machine,
+        "workload": stats.workload,
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "ipc": stats.ipc,
+    })
+
+
 class Machine:
     """One configured machine, able to run programs and report statistics."""
 
@@ -201,10 +218,12 @@ class Machine:
         including each instruction's select cycle — used by timing tests
         and for pipeline debugging.
 
-        With a ``bus``, every retired instruction's full stage timeline
-        plus per-operand bypass-forward events are emitted as
-        :class:`~repro.obs.events.TraceEvent` records; the bus is closed
-        (sorted, replayed through its sinks) before this method returns.
+        With a ``bus``, every retired instruction's full stage timeline,
+        one event per register source served at select (bypass forward
+        or register-file read), and the per-cycle stall events are
+        emitted as :class:`~repro.obs.events.TraceEvent` records; the bus
+        is closed (sorted, replayed through its sinks) before this method
+        returns.  Both engines emit the same stream, event for event.
 
         ``cycle_skip`` enables the event-driven fast-forward: when every
         pipeline stage is provably quiescent until some future cycle
@@ -229,20 +248,23 @@ class Machine:
         (this method's DynInstr-graph loop, kept as the differential
         reference).  Unset, the ``REPRO_ENGINE`` environment variable
         decides.  Both engines produce bit-identical statistics, CPI
-        stacks, and timelines — ``repro check``'s ``differential:engine``
-        section audits that.  Runs that need the object graph (an event
-        ``bus`` or ``record_trace``) always use the object engine; when
-        that overrides an *explicit* ``engine="soa"`` request the
-        downgrade is surfaced rather than silent — a one-shot warning
-        plus a ``core.engine.downgraded`` counter on the run's metrics
-        (so ``repro serve`` operators see it in serialized stats).
+        stacks, timelines, and event streams — ``repro check``'s
+        ``differential:engine`` and ``differential:events`` sections
+        audit that.  A bus run on the SoA engine rebuilds the event
+        stream from its columns after the loop (and never fast-forwards,
+        since stall events are per cycle).  Only ``record_trace``, which
+        returns ``DynInstr`` records, needs the object engine; when that
+        overrides an *explicit* ``engine="soa"`` request the downgrade is
+        surfaced rather than silent — a one-shot warning plus a
+        ``core.engine.downgraded`` counter on the run's metrics (so
+        ``repro serve`` operators see it in serialized stats).
         """
         from repro.core.engine import resolve_engine, run_soa
 
-        downgraded_by = None
+        downgraded = False
         if resolve_engine(engine) == "soa":
-            if bus is None and not record_trace:
-                return run_soa(
+            if not record_trace:
+                stats = run_soa(
                     self, program,
                     max_cycles=max_cycles,
                     progress_window=progress_window,
@@ -250,25 +272,30 @@ class Machine:
                     timeline=timeline,
                     timeline_stride=timeline_stride,
                     timeline_sink=timeline_sink,
+                    bus=bus,
                 )
+                if bus is not None:
+                    # Closed out here, once run_soa's columns are freed:
+                    # the close sort is a bus run's memory peak.
+                    _close_bus(bus, stats)
+                return stats
             if engine is not None:
                 # The caller explicitly asked for the SoA engine but also
-                # requested an object-graph feature the SoA loop cannot
-                # serve.  Honour the feature, not silently.
-                downgraded_by = "bus" if bus is not None else "record_trace"
+                # asked for DynInstr records, which the SoA loop never
+                # materializes.  Honour the feature, not silently.
+                downgraded = True
                 global _DOWNGRADE_WARNED
                 if not _DOWNGRADE_WARNED:
                     _DOWNGRADE_WARNED = True
                     log.warning(
-                        "engine='soa' requested but %s needs the object "
-                        "graph; running the object engine instead "
+                        "engine='soa' requested but record_trace needs the "
+                        "object graph; running the object engine instead "
                         "(counted in core.engine.downgraded; this "
                         "warning is logged once per process)",
-                        downgraded_by,
                     )
         config = self.config
         stats = SimStats(machine=config.name, workload=program.name)
-        if downgraded_by is not None:
+        if downgraded:
             stats.metrics.counter("core.engine.downgraded").inc()
         trace: list[DynInstr] | None = [] if record_trace else None
         log.debug("running %s on %s", config.name, program.name)
@@ -658,13 +685,7 @@ class Machine:
             # the ResultCache persists it as a sibling entry key.
             stats.timeline = sampler.finalize(cycle)
         if bus is not None:
-            bus.close(meta={
-                "machine": config.name,
-                "workload": program.name,
-                "cycles": stats.cycles,
-                "instructions": stats.instructions,
-                "ipc": stats.ipc,
-            })
+            _close_bus(bus, stats)
         log.debug(
             "finished %s on %s: %d instructions in %d cycles (IPC %.3f)",
             config.name, program.name, stats.instructions, stats.cycles, stats.ipc,
@@ -869,32 +890,14 @@ class Machine:
                     stats.cross_cluster_bypasses += 1
                 if best_level is None or level < best_level:
                     best_level = level
-                if bus is not None:
-                    bus.emit(TraceEvent(
-                        cycle, EventKind.BYPASS, rec.seq, rec.instr.text,
-                        args={
-                            "level": level + 1,
-                            "case": case.name,
-                            "producer_seq": producer.seq,
-                            "format": fmt.name,
-                            "cross_cluster": bool(adjust),
-                            "arrival": arrival,
-                            "producer_load": producer.instr.spec.is_load,
-                        },
-                    ))
-            elif bus is not None:
-                # Register-file-served source: the critical-path analyzer
-                # needs these edges too (Fig. 13 counts RF deliveries).
-                bus.emit(TraceEvent(
-                    cycle, EventKind.OPERAND, rec.seq, rec.instr.text,
-                    args={
-                        "level": level + 1,
-                        "case": case.name,
-                        "producer_seq": producer.seq,
-                        "format": fmt.name,
-                        "arrival": arrival,
-                        "producer_load": producer.instr.spec.is_load,
-                    },
+            if bus is not None:
+                # Register-file-served sources are emitted too: the
+                # critical-path analyzer needs those edges (Fig. 13 counts
+                # RF deliveries).
+                bus.emit(operand_event(
+                    cycle, rec.seq, rec.instr.text, bypassed, level + 1,
+                    case.name, producer.seq, fmt.name, bool(adjust), arrival,
+                    producer.instr.spec.is_load,
                 ))
             if arrival > last_arrival:
                 last_arrival = arrival

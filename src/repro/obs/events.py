@@ -11,7 +11,9 @@ JSONL/Chrome exporters, metric recomputation — sees one deterministic,
 cycle-monotonic stream.
 
 This module deliberately has no dependency on :mod:`repro.core`: events
-are plain data, and :func:`lifecycle_events` duck-types over the
+are plain data.  :func:`stage_events` and :func:`operand_event` build
+them from plain stamps — the SoA engine calls them over its columns —
+and :func:`lifecycle_events` duck-types over the object engine's
 ``DynInstr`` record (the pipeline-shape constant ``SELECT_TO_EXEC`` is
 passed in by the caller).
 """
@@ -53,7 +55,13 @@ class EventKind(enum.Enum):
     SPAN = "span"
 
 
-_KIND_ORDER = {kind: index for index, kind in enumerate(EventKind)}
+# Each member carries its within-cycle rank as a plain attribute: the bus
+# sorts every event of a run by it, and a dict keyed by the member would
+# pay a Python-level ``Enum.__hash__`` call per event.
+for _rank, _kind in enumerate(EventKind):
+    _kind.rank = _rank
+del _rank, _kind
+
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 
 
@@ -74,7 +82,7 @@ class TraceEvent:
     args: dict | None = None
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.cycle, self.seq, _KIND_ORDER[self.kind])
+        return (self.cycle, self.seq, self.kind.rank)
 
     def to_dict(self) -> dict:
         entry: dict = {
@@ -175,43 +183,113 @@ def lifecycle_events(
 ) -> list[TraceEvent]:
     """The full stage timeline of one retired ``DynInstr``-like record.
 
-    This is the single source of the pipeline shape shared by the
-    machine's bus emission and the pipeline viewer: select, a
+    See :func:`stage_events`, which takes the same stamps as plain values.
+    """
+    fetch = rename = None
+    if include_frontend:
+        fetch, rename = rec.fetch_cycle, rec.rename_cycle
+    if rec.select_cycle is None:
+        return stage_events(rec.seq, rec.instr.text, select_to_exec, fetch, rename)
+    return stage_events(
+        rec.seq, rec.instr.text, select_to_exec, fetch, rename,
+        rec.select_cycle, rec.scheduler, rec.cluster, rec.lat_rb, rec.lat_tc,
+        rec.complete_cycle, getattr(rec, "retire_cycle", None),
+    )
+
+
+def stage_events(
+    seq: int,
+    text: str,
+    select_to_exec: int,
+    fetch: int | None,
+    rename: int | None,
+    select: int | None = None,
+    scheduler: int = -1,
+    cluster: int = 0,
+    lat_rb: int = 0,
+    lat_tc: int = 0,
+    complete: int | None = None,
+    retire: int | None = None,
+) -> list[TraceEvent]:
+    """The stage timeline of one dynamic instruction from its stamps.
+
+    This is the single source of the pipeline shape shared by both
+    engines' bus emission and the pipeline viewer: fetch and rename
+    (skipped when ``None`` or negative), then, once selected, select, a
     ``select_to_exec - 1``-cycle register read, execution for the
     redundant-format latency, format conversion for the TC/RB latency
     gap, writeback the cycle after completion, and retirement.
     """
+    # Positional TraceEvent arguments and a bound append: this runs once
+    # per retired instruction of every traced run, and keyword arguments
+    # measured ~20% of a stream build.
     events: list[TraceEvent] = []
-    seq = rec.seq
-    text = rec.instr.text
-    if include_frontend:
-        events.append(TraceEvent(rec.fetch_cycle, EventKind.FETCH, seq, text))
-        if rec.rename_cycle >= 0:
-            events.append(TraceEvent(rec.rename_cycle, EventKind.RENAME, seq, text))
-    select = rec.select_cycle
+    append = events.append
+    if fetch is not None:
+        append(TraceEvent(fetch, EventKind.FETCH, seq, text))
+    if rename is not None and rename >= 0:
+        append(TraceEvent(rename, EventKind.RENAME, seq, text))
     if select is None:
         return events
-    events.append(TraceEvent(
-        select, EventKind.SELECT, seq, text,
-        args={"scheduler": rec.scheduler, "cluster": rec.cluster},
+    append(TraceEvent(
+        select, EventKind.SELECT, seq, text, 1,
+        {"scheduler": scheduler, "cluster": cluster},
     ))
     read_cycles = select_to_exec - 1
     if read_cycles > 0:
-        events.append(TraceEvent(select + 1, EventKind.REGISTER_READ, seq, text, dur=read_cycles))
+        append(TraceEvent(select + 1, EventKind.REGISTER_READ, seq, text, read_cycles))
     exec_start = select + select_to_exec
-    exec_cycles = max(1, rec.lat_rb)
-    events.append(TraceEvent(exec_start, EventKind.EXECUTE, seq, text, dur=exec_cycles))
-    convert_cycles = rec.lat_tc - rec.lat_rb
+    exec_cycles = lat_rb if lat_rb > 1 else 1
+    append(TraceEvent(exec_start, EventKind.EXECUTE, seq, text, exec_cycles))
+    convert_cycles = lat_tc - lat_rb
     if convert_cycles > 0:
-        events.append(TraceEvent(
-            exec_start + exec_cycles, EventKind.CONVERT, seq, text, dur=convert_cycles,
+        append(TraceEvent(
+            exec_start + exec_cycles, EventKind.CONVERT, seq, text, convert_cycles,
         ))
-    if rec.complete_cycle is not None:
-        events.append(TraceEvent(rec.complete_cycle + 1, EventKind.WRITEBACK, seq, text))
-    retire_cycle = getattr(rec, "retire_cycle", None)
-    if retire_cycle is not None:
-        events.append(TraceEvent(retire_cycle, EventKind.RETIRE, seq, text))
+    if complete is not None:
+        append(TraceEvent(complete + 1, EventKind.WRITEBACK, seq, text))
+    if retire is not None:
+        append(TraceEvent(retire, EventKind.RETIRE, seq, text))
     return events
+
+
+def operand_event(
+    cycle: int,
+    seq: int,
+    text: str,
+    bypassed: bool,
+    level: int,
+    case: str,
+    producer_seq: int,
+    fmt: str,
+    cross_cluster: bool,
+    arrival: int,
+    producer_load: bool,
+) -> TraceEvent:
+    """One register source served to an instruction selected at ``cycle``.
+
+    A ``bypass_forward`` event when the bypass network served it, else an
+    ``operand_read`` (register file; no cluster detail).  ``level`` is
+    1-based (1 == BYP-1) and ``case`` a Fig. 13 ``BypassCase`` name.
+    """
+    if bypassed:
+        return TraceEvent(cycle, EventKind.BYPASS, seq, text, 1, {
+            "level": level,
+            "case": case,
+            "producer_seq": producer_seq,
+            "format": fmt,
+            "cross_cluster": cross_cluster,
+            "arrival": arrival,
+            "producer_load": producer_load,
+        })
+    return TraceEvent(cycle, EventKind.OPERAND, seq, text, 1, {
+        "level": level,
+        "case": case,
+        "producer_seq": producer_seq,
+        "format": fmt,
+        "arrival": arrival,
+        "producer_load": producer_load,
+    })
 
 
 def ipc_from_events(events: Iterable[TraceEvent]) -> float:

@@ -11,6 +11,12 @@ section per verification layer:
 * ``differential:engine`` — the SoA cycle engine vs the object reference
   engine, bit for bit over the golden corpus (four machines × three
   kernels × both widths) plus at least ten fuzzed kernels;
+* ``differential:events`` — the same two engines with an event bus:
+  the SoA engine's column-built stream vs the object engine's, event
+  for event (plus bus meta and statistics) over the golden grid and the
+  engine section's fuzzed kernels, with a negative control — a stream
+  with two tie-ordered operand events swapped, and one with a stall
+  event a cycle off, must each be reported;
 * ``differential:batch`` — the batched lockstep engine
   (:func:`~repro.core.engine.run_soa_batch`) vs solo runs: the golden
   grid batched per kernel (mixed widths, alternating cycle-skip) and the
@@ -52,7 +58,9 @@ from repro.core.presets import (
     rb_limited,
     resolve_machine,
 )
+from repro.core.machine import Machine
 from repro.core.statistics import SimStats
+from repro.obs.events import EventBus
 from repro.obs.log import get_logger
 from repro.verify import differential, invariants
 from repro.verify.fuzz import PROFILES, fuzz_name, fuzz_program
@@ -78,6 +86,10 @@ ENGINE_WIDTHS = [4, 8]
 
 #: Minimum number of fuzzed kernels the engine differential must cover.
 ENGINE_FUZZ_MIN = 10
+
+#: Kernels of the event-stream differential's golden grid (with
+#: ENGINE_MACHINES x ENGINE_WIDTHS).
+EVENT_KERNELS = ENGINE_KERNELS
 
 
 @dataclass
@@ -302,6 +314,7 @@ def run_check(
     # ---- differential: SoA engine vs object engine -----------------------
     section = Section("differential:engine")
     report.sections.append(section)
+    engine_fuzz = list(programs)
     with _Timer(section):
         # The full golden corpus — the paper's four machines, three
         # kernels, both widths — always runs, quick mode included: this
@@ -320,7 +333,6 @@ def run_check(
         # At least ENGINE_FUZZ_MIN fuzzed kernels, cycling the check
         # configs and alternating the cycle-skip flag so both loop modes
         # of both engines face irregular programs.
-        engine_fuzz = list(programs)
         extra_seed = 1000
         while len(engine_fuzz) < ENGINE_FUZZ_MIN:
             engine_fuzz.append(fuzz_program("mixed", extra_seed))
@@ -334,6 +346,54 @@ def run_check(
             )
             if found is not None:
                 section.failures.append(found.as_dict())
+
+    # ---- differential: event streams, SoA engine vs object engine --------
+    section = Section("differential:events")
+    report.sections.append(section)
+    with _Timer(section):
+        for kernel in EVENT_KERNELS:
+            program = build(kernel)
+            for machine_name in ENGINE_MACHINES:
+                for engine_width in ENGINE_WIDTHS:
+                    section.cases += 1
+                    found = differential.diff_events(
+                        resolve_machine(machine_name, engine_width), program
+                    )
+                    if found is not None:
+                        section.failures.append(found.as_dict())
+        for index, program in enumerate(engine_fuzz):
+            section.cases += 1
+            found = differential.diff_events(
+                configs[index % len(configs)],
+                program,
+                cycle_skip=index % 2 == 0,
+            )
+            if found is not None:
+                section.failures.append(found.as_dict())
+        # Negative control: the comparison must catch the two near-misses
+        # an engine bug would most plausibly produce.
+        program = build(EVENT_KERNELS[0])
+        config = resolve_machine(ENGINE_MACHINES[0], ENGINE_WIDTHS[0])
+        bus = EventBus()
+        Machine(config).run(program, bus=bus)
+        mutants = differential.event_stream_mutants(bus.events)
+        for label in ("swapped-tie", "stall-cycle-off-by-one"):
+            section.cases += 1
+            mutant = mutants.get(label)
+            if mutant is None:
+                detail = "no site for the mutation in the control stream"
+            elif differential.diff_event_streams(
+                config.name, program.name, bus.events, mutant,
+            ) is None:
+                detail = "stream comparison missed the mutation"
+            else:
+                continue
+            section.failures.append({
+                "pair": "events",
+                "machine": config.name,
+                "workload": program.name,
+                "detail": f"negative control {label}: {detail}",
+            })
 
     # ---- differential: batched vs solo simulation ------------------------
     section = Section("differential:batch")
@@ -448,8 +508,6 @@ def run_check(
     section = Section("invariant:machine-ordering")
     report.sections.append(section)
     with _Timer(section):
-        from repro.core.machine import Machine
-
         ordering_workloads = (
             QUICK_ORDERING_WORKLOADS if quick else FULL_ORDERING_WORKLOADS
         )
@@ -475,8 +533,6 @@ def run_check(
     section = Section("invariant:bypass-monotonicity")
     report.sections.append(section)
     with _Timer(section):
-        from repro.core.machine import Machine
-
         program = build(MONOTONICITY_WORKLOAD)
         full = Machine(ideal(width)).run(program)
         all_stats.append(full)

@@ -1,10 +1,14 @@
 """Paired-run differential harness over the "bit-identical" execution modes.
 
-Eight equivalence pairs are claimed by the simulator:
+Nine equivalence pairs are claimed by the simulator:
 
 * ``engine`` — the structure-of-arrays cycle engine
   (:mod:`repro.core.engine`) vs the per-instruction object engine, over
   the serialized statistics *and* every interval-timeline row;
+* ``events`` — the same two engines with an event bus attached: the
+  SoA engine rebuilds the stream from its columns, the object engine
+  emits it from its ``DynInstr`` records, and every event, the bus meta,
+  and the statistics must match;
 * ``batch`` — N configs advanced by one :func:`run_soa_batch` call
   (shared fetch probe, rename plans, steering columns) vs each config's
   solo run, statistics and timelines alike;
@@ -32,13 +36,14 @@ metric counter, not just IPC — as a :class:`Divergence`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine
 from repro.core.statistics import SimStats
 from repro.isa.program import Program
+from repro.obs.events import EventBus, EventKind, TraceEvent
 from repro.obs.log import get_logger
 from repro.rb.adder import rb_add, rb_add_reference, rb_sub, rb_sub_reference
 from repro.rb.number import RBNumber
@@ -153,6 +158,102 @@ def diff_engines(
                 f"timeline.{field}", left_value, right_value,
             )
     return None
+
+
+def diff_event_streams(
+    machine: str,
+    workload: str,
+    left: list[TraceEvent],
+    right: list[TraceEvent],
+    left_meta: dict | None = None,
+    right_meta: dict | None = None,
+) -> Divergence | None:
+    """First difference between two closed event streams (and bus metas).
+
+    Events compare by :meth:`~repro.obs.events.TraceEvent.to_dict`, so
+    the reported field is ``events[<index>].<key>`` — the first diverging
+    index in stream order, then the first diverging key of that event.
+    """
+    found = first_divergence(left_meta or {}, right_meta or {}, "meta")
+    if found is None:
+        for index, (a, b) in enumerate(zip(left, right)):
+            if a != b:
+                found = first_divergence(
+                    a.to_dict(), b.to_dict(), f"events[{index}]"
+                )
+                if found is not None:
+                    break
+    if found is None and len(left) != len(right):
+        index = min(len(left), len(right))
+        found = (
+            f"events[{index}]",
+            left[index].to_dict() if index < len(left) else "<absent>",
+            right[index].to_dict() if index < len(right) else "<absent>",
+        )
+    if found is None:
+        return None
+    field, left_value, right_value = found
+    return Divergence("events", machine, workload, field, left_value, right_value)
+
+
+def diff_events(
+    config: MachineConfig, program: Program, cycle_skip: bool = True
+) -> Divergence | None:
+    """Event-bus run on the SoA engine vs the object engine, event for event.
+
+    The SoA engine builds its stream from columns after the loop; the
+    object engine emits from its ``DynInstr`` records as it goes.  The
+    serialized statistics, the bus meta, and the sorted stream (tie order
+    included — the critical path's last-arriving edge depends on it) must
+    all be identical.  ``cycle_skip`` reaches the object engine (the SoA
+    engine never fast-forwards with a bus).
+    """
+    runs = {}
+    for engine in ("soa", "objects"):
+        bus = EventBus()
+        stats = Machine(config).run(
+            program, bus=bus, cycle_skip=cycle_skip, engine=engine
+        )
+        runs[engine] = (stats, bus)
+    (soa, soa_bus), (objects, objects_bus) = runs["soa"], runs["objects"]
+    found = _compare("events", config.name, program.name, soa, objects)
+    if found is not None:
+        return found
+    return diff_event_streams(
+        config.name, program.name, soa_bus.events, objects_bus.events,
+        soa_bus.meta, objects_bus.meta,
+    )
+
+
+def event_stream_mutants(events: list[TraceEvent]) -> dict[str, list[TraceEvent]]:
+    """Negative controls for :func:`diff_event_streams`.
+
+    Two near-misses a stream comparison must catch: two tie-ordered
+    operand events of one consumer swapped (same ``(cycle, seq, kind)``,
+    different producers — only emission order tells them apart), and one
+    stall event moved a cycle later.  Each mutant differs from ``events``
+    in exactly those positions; a mutation with no site in the stream is
+    left out of the result.
+    """
+    mutants: dict[str, list[TraceEvent]] = {}
+    for index in range(len(events) - 1):
+        a, b = events[index], events[index + 1]
+        if (
+            a.kind in (EventKind.BYPASS, EventKind.OPERAND)
+            and a.sort_key() == b.sort_key()
+            and a.to_dict() != b.to_dict()
+        ):
+            swapped = list(events)
+            swapped[index], swapped[index + 1] = b, a
+            mutants["swapped-tie"] = swapped
+            break
+    for index, event in enumerate(events):
+        if event.kind is EventKind.STALL:
+            shifted = list(events)
+            shifted[index] = replace(event, cycle=event.cycle + 1)
+            mutants["stall-cycle-off-by-one"] = shifted
+            break
+    return mutants
 
 
 def diff_cycle_skip(config: MachineConfig, program: Program) -> Divergence | None:

@@ -27,6 +27,7 @@ from repro.core.presets import (
     rb_full,
     rb_limited,
 )
+from repro.obs.events import EventBus
 from repro.verify.differential import diff_batch, first_divergence
 from repro.verify.fuzz import fuzz_program
 from repro.workloads.suite import build
@@ -117,7 +118,8 @@ class TestRunBatchApi:
 
 
 class TestExplicitSoaDowngrade:
-    """engine="soa" + object-graph features must downgrade *loudly*."""
+    """engine="soa" + record_trace must downgrade *loudly*; a bus does not
+    downgrade at all."""
 
     def test_explicit_request_counts_downgrade(self, monkeypatch):
         monkeypatch.setattr(machine_module, "_DOWNGRADE_WARNED", True)
@@ -140,6 +142,23 @@ class TestExplicitSoaDowngrade:
             if "running the object engine instead" in record.getMessage()
         ]
         assert len(warnings) == 1
+
+    def test_explicit_soa_bus_run_is_not_a_downgrade(self, monkeypatch, caplog):
+        # The SoA engine serves event buses itself: no counter, no warning.
+        monkeypatch.setattr(machine_module, "_DOWNGRADE_WARNED", False)
+        bus = EventBus()
+        with caplog.at_level(logging.WARNING, logger="repro.core.machine"):
+            stats = Machine(baseline(4)).run(
+                _program("compress"), engine="soa", bus=bus
+            )
+        counters = stats.to_dict()["metrics"]["counters"]
+        assert "core.engine.downgraded" not in counters
+        assert bus.events
+        assert not machine_module._DOWNGRADE_WARNED
+        assert not [
+            record for record in caplog.records
+            if "running the object engine instead" in record.getMessage()
+        ]
 
     def test_implicit_selection_not_counted(self, monkeypatch):
         # engine=None resolving to the SoA default and then needing the

@@ -71,13 +71,20 @@ class TestEquivalence:
 
 class TestEventStream:
     def test_traced_runs_identical(self):
-        """With an event bus attached the skip path replays per-cycle events."""
+        """With an event bus attached the skip path replays per-cycle events.
+
+        Pinned to the object engine: the SoA engine never fast-forwards a
+        bus run, so only the object loop has a skip path to audit here.
+        """
         config, workload = rb_limited(4), "ijpeg"
         program = build(workload)
         digests = {}
         for cycle_skip in (True, False):
             sink = CollectorSink()
-            Machine(config).run(program, bus=EventBus([sink]), cycle_skip=cycle_skip)
+            Machine(config).run(
+                program, bus=EventBus([sink]), cycle_skip=cycle_skip,
+                engine="objects",
+            )
             digests[cycle_skip] = json.dumps(
                 [(e.cycle, e.kind.value, e.seq, e.text, e.args) for e in sink.events],
                 sort_keys=True,

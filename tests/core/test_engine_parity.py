@@ -20,7 +20,7 @@ from repro.core.engine import (
 from repro.core.machine import Machine
 from repro.core.presets import baseline, ideal, rb_full, rb_limited
 from repro.obs.events import EventBus
-from repro.verify.differential import diff_engines, first_divergence
+from repro.verify.differential import diff_engines, diff_events, first_divergence
 from repro.verify.fuzz import fuzz_program
 from repro.workloads.suite import build
 
@@ -73,7 +73,8 @@ class TestEngineSelection:
 
 
 class TestObjectGraphFallbacks:
-    """Runs that need DynInstr records always use the object engine."""
+    """Only ``record_trace`` (DynInstr records) needs the object engine;
+    event-bus runs stay on the SoA engine with an identical stream."""
 
     def test_record_trace_still_carries_records(self):
         stats = _run(ideal(4), build("li"), "soa", record_trace=True)
@@ -84,6 +85,49 @@ class TestObjectGraphFallbacks:
         bus = EventBus()
         _run(ideal(4), build("li"), "soa", bus=bus)
         assert bus.events, "bus runs must still emit events"
+
+    def test_bus_run_stays_on_soa(self, monkeypatch):
+        """A bus run never enters the object loop, whatever cycle_skip says."""
+        import repro.core.machine as machine_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("object engine ran a bus run")
+
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        monkeypatch.setattr(machine_module.Machine, "_issue", forbidden)
+        for cycle_skip in (True, False):
+            bus = EventBus()
+            stats = _run(ideal(4), build("li"), None, cycle_skip, bus=bus)
+            assert bus.events and stats.instructions > 0
+
+    @pytest.mark.parametrize("preset", [baseline, rb_limited, rb_full, ideal],
+                             ids=lambda p: p.__name__)
+    def test_bus_streams_identical(self, preset):
+        found = diff_events(preset(4), build("li"))
+        assert found is None, found.describe()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bus_streams_identical_on_fuzz(self, seed):
+        program = fuzz_program(("mixed", "branchy", "serial")[seed], seed)
+        found = diff_events(rb_limited(8), program, cycle_skip=seed % 2 == 0)
+        assert found is None, found.describe()
+
+    def test_bounded_bus_keeps_same_newest_events(self):
+        """``repro trace --buffer 4096``: same kept tail, same drop count."""
+        program = build("li")
+        buses = {}
+        for engine in ENGINES:
+            buses[engine] = EventBus(capacity=4096)
+            _run(rb_limited(4), program, engine, bus=buses[engine])
+        soa, objects = buses["soa"], buses["objects"]
+        assert soa.dropped > 0
+        assert soa.dropped == objects.dropped
+        assert soa.meta == objects.meta
+        assert soa.meta["dropped_events"] == soa.dropped
+        assert len(soa.events) == 4096
+        assert [e.to_dict() for e in soa.events] == [
+            e.to_dict() for e in objects.events
+        ]
 
     def test_fallback_matches_soa_stats(self):
         """The traced (object-engine) run agrees with the SoA run.

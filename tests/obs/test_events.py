@@ -8,7 +8,15 @@ import pytest
 from repro.core.machine import SELECT_TO_EXEC, Machine
 from repro.core.presets import baseline, ideal, rb_full, rb_limited
 from repro.isa.assembler import assemble
-from repro.obs.events import EventBus, EventKind, TraceEvent, ipc_from_events, lifecycle_events
+from repro.obs.events import (
+    EventBus,
+    EventKind,
+    TraceEvent,
+    ipc_from_events,
+    lifecycle_events,
+    operand_event,
+    stage_events,
+)
 from repro.obs.sinks import CollectorSink
 from repro.workloads.suite import build
 
@@ -42,6 +50,44 @@ class TestTraceEvent:
         assert "dur" not in entry and "args" not in entry
 
 
+class TestSortOrder:
+    def test_mixed_kind_tie_order(self):
+        """Same cycle and seq: stage order decides; equal keys keep their
+        emission order through the (stable) close sort."""
+        kinds = list(EventKind)
+        bus = EventBus()
+        emitted = [
+            TraceEvent(5, EventKind.STALL, 3, args={"cause": "frontend"}),
+            TraceEvent(5, EventKind.BYPASS, 3, args={"producer_seq": 2}),
+            TraceEvent(5, EventKind.SELECT, 3),
+            TraceEvent(5, EventKind.BYPASS, 3, args={"producer_seq": 1}),
+            TraceEvent(4, EventKind.RETIRE, 9),
+            TraceEvent(5, EventKind.OPERAND, 3, args={"producer_seq": 0}),
+            TraceEvent(5, EventKind.FETCH, 2),
+            TraceEvent(5, EventKind.WRITEBACK, 3),
+        ]
+        bus.emit_many(emitted)
+        ordered = bus.close()
+        assert [(e.cycle, e.seq, e.kind) for e in ordered] == [
+            (4, 9, EventKind.RETIRE),
+            (5, 2, EventKind.FETCH),
+            (5, 3, EventKind.SELECT),
+            (5, 3, EventKind.OPERAND),
+            (5, 3, EventKind.BYPASS),
+            (5, 3, EventKind.BYPASS),
+            (5, 3, EventKind.WRITEBACK),
+            (5, 3, EventKind.STALL),
+        ]
+        bypasses = [e.args["producer_seq"] for e in ordered if e.kind is EventKind.BYPASS]
+        assert bypasses == [2, 1]
+        assert all(
+            e.sort_key() == (e.cycle, e.seq, kinds.index(e.kind)) for e in ordered
+        )
+
+    def test_rank_follows_declaration_order(self):
+        assert [kind.rank for kind in EventKind] == list(range(len(EventKind)))
+
+
 class TestLifecycleEvents:
     def test_unselected_record_yields_frontend_only(self):
         class Rec:
@@ -55,6 +101,33 @@ class TestLifecycleEvents:
 
         kinds = [e.kind for e in lifecycle_events(Rec(), SELECT_TO_EXEC)]
         assert kinds == [EventKind.FETCH]
+
+    def test_stage_events_shape(self):
+        events = stage_events(
+            7, "addq", SELECT_TO_EXEC, fetch=1, rename=8, select=10,
+            scheduler=2, cluster=1, lat_rb=1, lat_tc=3, complete=13, retire=15,
+        )
+        assert [(e.kind, e.cycle, e.dur) for e in events] == [
+            (EventKind.FETCH, 1, 1),
+            (EventKind.RENAME, 8, 1),
+            (EventKind.SELECT, 10, 1),
+            (EventKind.REGISTER_READ, 11, SELECT_TO_EXEC - 1),
+            (EventKind.EXECUTE, 10 + SELECT_TO_EXEC, 1),
+            (EventKind.CONVERT, 11 + SELECT_TO_EXEC, 2),
+            (EventKind.WRITEBACK, 14, 1),
+            (EventKind.RETIRE, 15, 1),
+        ]
+        assert events[2].args == {"scheduler": 2, "cluster": 1}
+        assert {e.seq for e in events} == {7}
+
+    def test_operand_event_kinds(self):
+        bypass = operand_event(9, 4, "x", True, 2, "RB_TO_TC", 3, "TC", True, 8, False)
+        served = operand_event(9, 4, "x", False, 5, "TC_TO_TC", 1, "TC", False, 2, True)
+        assert bypass.kind is EventKind.BYPASS
+        assert bypass.args["cross_cluster"] is True
+        assert served.kind is EventKind.OPERAND
+        assert "cross_cluster" not in served.args
+        assert served.args["producer_load"] is True
 
 
 class TestMachineEmission:

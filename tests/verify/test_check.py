@@ -25,6 +25,7 @@ class TestRunCheck:
         names = {section["name"] for section in payload["sections"]}
         assert {
             "fuzz",
+            "differential:events",
             "differential:cycle-skip",
             "differential:timeline-skip",
             "differential:machine-reuse",

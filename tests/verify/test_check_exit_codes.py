@@ -29,6 +29,7 @@ def tiny_check(monkeypatch):
     """Shrink the heavyweight audit workloads so each check run is fast."""
     monkeypatch.setattr(check, "QUICK_ORDERING_WORKLOADS", ["fuzz:serial:5"])
     monkeypatch.setattr(check, "MONOTONICITY_WORKLOAD", "fuzz:serial:5")
+    monkeypatch.setattr(check, "EVENT_KERNELS", ["fuzz:serial:5"])
 
 
 def run_cli_check(tmp_path):

@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.core.machine import Machine
 from repro.core.presets import ideal, rb_limited, resolve_machine
+from repro.obs.events import EventBus, EventKind, TraceEvent
 from repro.verify.differential import (
     Divergence,
     diff_cycle_skip,
+    diff_event_streams,
+    diff_events,
     diff_machine_reuse,
     diff_rb_adder,
     diff_timeline_skip,
+    event_stream_mutants,
     first_divergence,
 )
 from repro.verify.fuzz import fuzz_program
@@ -71,6 +76,71 @@ class TestPairs:
         payload = divergence.as_dict()
         assert payload["field"] == "cycles"
         assert payload["left"] == "100"
+
+
+class TestEventStreams:
+    @pytest.fixture(scope="class")
+    def stream(self):
+        program = fuzz_program("mixed", 11)
+        config = rb_limited(4)
+        bus = EventBus()
+        Machine(config).run(program, bus=bus)
+        return config, program, bus
+
+    def test_events_pair_is_clean(self):
+        program = fuzz_program("mixed", 11)
+        for config, skip in ((rb_limited(4), True), (ideal(8), False)):
+            assert diff_events(config, program, cycle_skip=skip) is None
+
+    def test_identical_streams(self, stream):
+        config, program, bus = stream
+        assert diff_event_streams(
+            config.name, program.name, bus.events, list(bus.events),
+            bus.meta, dict(bus.meta),
+        ) is None
+
+    def test_mutants_are_reported_at_their_index(self, stream):
+        """The negative control: a swapped tie and an off-by-one stall."""
+        config, program, bus = stream
+        mutants = event_stream_mutants(bus.events)
+        assert set(mutants) == {"swapped-tie", "stall-cycle-off-by-one"}
+        for label, mutant in mutants.items():
+            found = diff_event_streams(
+                config.name, program.name, bus.events, mutant
+            )
+            assert found is not None, label
+            assert found.pair == "events"
+            index = next(
+                i for i, (a, b) in enumerate(zip(bus.events, mutant)) if a != b
+            )
+            assert found.field.startswith(f"events[{index}].")
+        found = diff_event_streams(
+            config.name, program.name, bus.events,
+            mutants["stall-cycle-off-by-one"],
+        )
+        assert found.field.endswith(".cycle")
+        assert found.right == found.left + 1
+
+    def test_meta_and_length_mismatches(self, stream):
+        config, program, bus = stream
+        found = diff_event_streams(
+            config.name, program.name, bus.events, bus.events,
+            bus.meta, {**bus.meta, "cycles": -1},
+        )
+        assert found is not None and found.field == "meta.cycles"
+        found = diff_event_streams(
+            config.name, program.name, bus.events, bus.events[:-1],
+        )
+        assert found is not None
+        assert found.field == f"events[{len(bus.events) - 1}]"
+        assert found.right == "<absent>"
+
+    def test_tie_free_stream_has_no_swap_site(self):
+        events = [
+            TraceEvent(0, EventKind.FETCH, 0, "nop"),
+            TraceEvent(1, EventKind.STALL, -1, args={"cause": "frontend"}),
+        ]
+        assert set(event_stream_mutants(events)) == {"stall-cycle-off-by-one"}
 
 
 #: The golden corpus's machine x kernel x width grid (mirrors
